@@ -1655,10 +1655,8 @@ func (c *Controller) BuildKernel(src, signature string) (*kernels.Def, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, exists := c.reg.Lookup(d.Name); !exists {
-			if err := c.reg.Register(d); err != nil {
-				return nil, err
-			}
+		if err := c.reg.Ensure(d); err != nil {
+			return nil, err
 		}
 		c.reg.CacheSource(key, d.Name)
 		def = d

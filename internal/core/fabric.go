@@ -377,8 +377,5 @@ func (f *LocalFabric) BuildKernel(src, signature string) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrKernelCompile, err)
 	}
-	if _, exists := f.reg.Lookup(def.Name); exists {
-		return nil
-	}
-	return f.reg.Register(def)
+	return f.reg.Ensure(def)
 }

@@ -543,10 +543,8 @@ func (c *Controller) compileFused(src string) (*kernels.Def, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, exists := c.reg.Lookup(d.Name); !exists {
-			if err := c.reg.Register(d); err != nil {
-				return nil, err
-			}
+		if err := c.reg.Ensure(d); err != nil {
+			return nil, err
 		}
 		c.reg.CacheSource(key, d.Name)
 		def = d

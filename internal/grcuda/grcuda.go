@@ -418,10 +418,8 @@ func (r *Runtime) BuildKernel(src, signature string) (*kernels.Def, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, exists := r.reg.Lookup(def.Name); !exists {
-		if err := r.reg.Register(def); err != nil {
-			return nil, err
-		}
+	if err := r.reg.Ensure(def); err != nil {
+		return nil, err
 	}
 	r.reg.CacheSource(key, def.Name)
 	return def, nil

@@ -193,6 +193,22 @@ func (r *Registry) Register(d *Def) error {
 	return nil
 }
 
+// Ensure registers d unless a kernel of that name is already registered.
+// Check and insert happen under one lock, so concurrent builds of the same
+// kernel against a shared registry (sharded controllers, in-process
+// workers) never see each other's registration as a duplicate.
+func (r *Registry) Ensure(d *Def) error {
+	if d.Name == "" {
+		return fmt.Errorf("kernels: definition with empty name")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.defs[d.Name]; !dup {
+		r.defs[d.Name] = d
+	}
+	return nil
+}
+
 // Lookup finds a definition by name.
 func (r *Registry) Lookup(name string) (*Def, bool) {
 	r.mu.RLock()

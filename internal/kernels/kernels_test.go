@@ -130,6 +130,26 @@ func TestRegistry(t *testing.T) {
 	if _, ok := r.Lookup("missing"); ok {
 		t.Fatalf("missing lookup succeeded")
 	}
+	// Ensure keeps the first definition and never reports a duplicate,
+	// even when builds of one kernel race on a shared registry.
+	if err := r.Ensure(&Def{Name: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.Lookup("k"); got != d {
+		t.Fatalf("Ensure replaced an existing definition")
+	}
+	if err := r.Ensure(&Def{}); err == nil {
+		t.Fatalf("empty name accepted by Ensure")
+	}
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		go func() { errs <- r.Ensure(&Def{Name: "raced"}) }()
+	}
+	for i := 0; i < 8; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("concurrent Ensure: %v", err)
+		}
+	}
 }
 
 func TestStdRegistryComplete(t *testing.T) {

@@ -269,7 +269,8 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	// Best-effort goodbye; the gateway tears down on disconnect anyway.
+	// Best-effort goodbye, acked once the gateway has torn the session
+	// down; it tears down on disconnect anyway.
 	_, _ = c.conn.Call(&transport.SessionRequest{Kind: transport.SessClose})
 	return c.conn.Close()
 }

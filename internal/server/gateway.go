@@ -62,15 +62,6 @@ type Options struct {
 	// HandshakeTimeout bounds the protocol hello on accept. 0 means
 	// transport.DefaultDialTimeout, negative disables.
 	HandshakeTimeout time.Duration
-	// AcceptLoops is the number of goroutines blocked in Accept on the
-	// shared listener. One loop serializes the accept+handshake
-	// hand-off, so a dial burst (a fleet of clients reconnecting after a
-	// gateway restart) queues behind the kernel's accept backlog; N
-	// loops pull from it concurrently, the accept-side analog of the
-	// per-shard drains. 0 or 1 means one loop; values above the shard
-	// count are fine — loops are cheap (a goroutine apiece) and the
-	// kernel serializes Accept itself.
-	AcceptLoops int
 	// Logger, optional.
 	Logger *log.Logger
 }
@@ -282,14 +273,8 @@ func NewSharded(ctls []*core.Controller, route RouteFunc, addr string, opt Optio
 		sh.drainCond.L = &sh.mu
 		g.shards = append(g.shards, sh)
 	}
-	accepts := opt.AcceptLoops
-	if accepts < 1 {
-		accepts = 1
-	}
-	g.wg.Add(accepts + len(g.shards))
-	for i := 0; i < accepts; i++ {
-		go g.acceptLoop()
-	}
+	g.wg.Add(1 + len(g.shards))
+	go g.acceptLoop()
 	for _, sh := range g.shards {
 		go g.drainLoop(sh)
 	}
@@ -499,13 +484,13 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 		return
 	}
 	g.log.Printf("server: session %q open from %s on shard %d", t.name, conn.RemoteAddr(), t.shard.idx)
+	closeID, closing := uint64(0), false
 	for {
 		reqID, err := conn.ReadRequest(req)
 		if err != nil {
 			break // disconnect: tear the session down below
 		}
 		resp := &transport.SessionResponse{}
-		stop := false
 		switch req.Kind {
 		case transport.SessPing:
 			// nothing: the empty OK response is the answer
@@ -568,17 +553,26 @@ func (g *Gateway) serve(conn *transport.SessionConn) {
 			}
 			resp.Elapsed = int64(t.sess.Elapsed())
 		case transport.SessClose:
-			stop = true
+			closeID, closing = reqID, true
 		case transport.SessOpen:
 			resp.SetErr(fmt.Errorf("server: session %q is already open", t.name))
 		default:
 			resp.SetErr(fmt.Errorf("server: unknown request %v", req.Kind))
 		}
-		if err := conn.Reply(reqID, resp); err != nil || stop {
+		if closing {
+			break
+		}
+		if err := conn.Reply(reqID, resp); err != nil {
 			break
 		}
 	}
 	g.teardown(t)
+	if closing {
+		// The goodbye is acked only after teardown: once Client.Close
+		// returns, the session has left the gateway's counters and its
+		// arrays are freed.
+		_ = conn.Reply(closeID, &transport.SessionResponse{})
+	}
 	_ = conn.Close()
 	g.log.Printf("server: session %q closed", t.name)
 }

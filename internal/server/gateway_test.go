@@ -685,15 +685,14 @@ func TestGatewayNamespaceTranslation(t *testing.T) {
 	}
 }
 
-// TestGatewayAcceptLoopsConcurrentDials exercises the sharded accept
-// path: four goroutines blocked in Accept on the shared listener, hit
-// by a burst of concurrent dials (the fleet-reconnect-after-restart
-// shape). Every session must open, answer a ping, and run a tiny
-// program correctly; Close must then reap all accept loops without
-// leaking (the deferred Close hangs if the waitgroup miscounts).
-func TestGatewayAcceptLoopsConcurrentDials(t *testing.T) {
+// TestGatewayConcurrentDials hits the accept path with a burst of
+// concurrent dials (the fleet-reconnect-after-restart shape). Every
+// session must open, answer a ping, and run a tiny program correctly;
+// Close must then reap the accept loop without leaking (the deferred
+// Close hangs if the waitgroup miscounts).
+func TestGatewayConcurrentDials(t *testing.T) {
 	ctl := gwSystem(t, nil)
-	g := gwStart(t, ctl, Options{AcceptLoops: 4})
+	g := gwStart(t, ctl, Options{})
 	const burst = 24
 	var wg sync.WaitGroup
 	errs := make(chan error, burst)

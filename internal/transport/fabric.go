@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -15,49 +14,15 @@ import (
 	"grout/internal/sim"
 )
 
-// Wire selects the wire protocol a fabric speaks.
-type Wire int
-
-const (
-	// WireFramed is the length-prefixed binary protocol with the
-	// control/bulk channel split (the default).
-	WireFramed Wire = iota
-	// WireGob is the legacy reflection-driven gob codec over a single
-	// connection per worker; kept for one release behind `-wire gob`.
-	WireGob
-)
-
-// ParseWire maps a flag value to a Wire.
-func ParseWire(name string) (Wire, error) {
-	switch name {
-	case "", "framed":
-		return WireFramed, nil
-	case "gob":
-		return WireGob, nil
-	default:
-		return 0, fmt.Errorf("transport: unknown wire protocol %q (want framed or gob)", name)
-	}
-}
-
-func (w Wire) String() string {
-	if w == WireGob {
-		return "gob"
-	}
-	return "framed"
-}
-
 // DialOptions tune a TCP fabric. For the three timeouts, zero selects the
 // package default and a negative value disables the deadline entirely —
 // so a zero-valued DialOptions behaves safely out of the box.
 type DialOptions struct {
-	// Wire selects the protocol (default WireFramed).
-	Wire Wire
 	// ChunkBytes is the bulk-transfer chunk size (default
 	// DefaultChunkBytes; clamped to [4 KiB, 64 MiB) and 8-byte aligned).
 	ChunkBytes int
-	// DialTimeout bounds connection establishment on both wires (default
-	// DefaultDialTimeout — previously the gob path hard-coded 5 s and the
-	// framed path had none).
+	// DialTimeout bounds connection establishment (default
+	// DefaultDialTimeout).
 	DialTimeout time.Duration
 	// CallTimeout bounds one control round trip — ping, launch, ensure,
 	// build, free (default DefaultCallTimeout). A worker that accepts TCP
@@ -77,35 +42,21 @@ type DialOptions struct {
 	RetryBackoff time.Duration
 }
 
-// link is one worker's connection set: either a framed control+bulk pair
-// or a single legacy gob connection.
+// link is one worker's connection set: the framed control and bulk pair.
 type link struct {
-	ctrl *ctrlConn   // framed control channel
-	bulk *bulkClient // framed bulk channel
-	gob  *conn       // legacy wire (nil when framed)
+	ctrl *ctrlConn
+	bulk *bulkClient
 }
 
 // call performs a control round trip.
-func (l *link) call(req *Request) (*Response, error) {
-	if l.gob != nil {
-		return l.gob.call(req)
-	}
-	return l.ctrl.call(req)
-}
+func (l *link) call(req *Request) (*Response, error) { return l.ctrl.call(req) }
 
-// broken reports whether either framed channel recorded a fatal error (the
-// gob wire tracks none; it never reports broken).
+// broken reports whether either channel recorded a fatal error.
 func (l *link) broken() bool {
-	if l.gob != nil {
-		return false
-	}
 	return l.ctrl.fc.brokenErr() != nil || l.bulk.broken() != nil
 }
 
 func (l *link) close() error {
-	if l.gob != nil {
-		return l.gob.close()
-	}
 	err := l.ctrl.close()
 	if berr := l.bulk.close(); err == nil {
 		err = berr
@@ -114,8 +65,8 @@ func (l *link) close() error {
 }
 
 // TCPFabric implements core.Fabric over real sockets: worker i+1 is the
-// process listening at addrs[i]. On the framed wire each worker gets a
-// dedicated bulk channel, so array transfers — streamed in chunks and
+// process listening at addrs[i]. Each worker gets a dedicated bulk
+// channel, so array transfers — streamed in chunks and
 // interleaved by request ID — never head-of-line-block pings, launches or
 // failover probes on the control channel, and bulk operations on
 // different arrays run concurrently (the core.Fabric concurrent-bulk
@@ -127,7 +78,6 @@ type TCPFabric struct {
 	lmu     sync.RWMutex
 	links   map[cluster.NodeID]*link
 	started time.Time
-	wire    Wire
 	chunk   int
 	// Resolved timeouts/retry policy (see DialOptions).
 	dialTimeout  time.Duration
@@ -141,13 +91,12 @@ type TCPFabric struct {
 	AssumedBandwidth float64
 }
 
-// Dial connects to every worker over the framed wire and verifies
-// liveness.
+// Dial connects to every worker and verifies liveness.
 func Dial(addrs []string) (*TCPFabric, error) {
 	return DialWith(addrs, DialOptions{})
 }
 
-// DialWith is Dial with explicit wire/chunking options.
+// DialWith is Dial with explicit chunking, timeout and retry options.
 func DialWith(addrs []string, opts DialOptions) (*TCPFabric, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: no worker addresses")
@@ -160,7 +109,6 @@ func DialWith(addrs []string, opts DialOptions) (*TCPFabric, error) {
 		addrs:            addrs,
 		links:            make(map[cluster.NodeID]*link),
 		started:          time.Now(),
-		wire:             opts.Wire,
 		chunk:            normalizeChunk(opts.ChunkBytes),
 		dialTimeout:      pickTimeout(opts.DialTimeout, DefaultDialTimeout),
 		callTimeout:      pickTimeout(opts.CallTimeout, DefaultCallTimeout),
@@ -180,29 +128,8 @@ func DialWith(addrs []string, opts DialOptions) (*TCPFabric, error) {
 	return f, nil
 }
 
-// dialWorker opens one worker's connection set and pings it. Both wires
-// share the fabric's dial timeout (the gob path's former hard-coded 5 s).
+// dialWorker opens one worker's control and bulk channels and pings it.
 func (f *TCPFabric) dialWorker(addr string) (*link, error) {
-	if f.wire == WireGob {
-		var raw net.Conn
-		var err error
-		if f.dialTimeout > 0 {
-			raw, err = net.DialTimeout("tcp", addr, f.dialTimeout)
-		} else {
-			raw, err = net.Dial("tcp", addr)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dial: %w", wrapNetErr(err))
-		}
-		c := newConn(raw)
-		c.timeout = f.callTimeout
-		l := &link{gob: c}
-		if _, err := l.call(&Request{Kind: MsgPing}); err != nil {
-			_ = l.close()
-			return nil, fmt.Errorf("ping: %w", err)
-		}
-		return l, nil
-	}
 	ctrlFC, err := dialFramed(addr, helloControl, f.dialTimeout)
 	if err != nil {
 		return nil, err
@@ -225,9 +152,6 @@ func (f *TCPFabric) dialWorker(addr string) (*link, error) {
 	}
 	return l, nil
 }
-
-// Wire reports the protocol this fabric speaks.
-func (f *TCPFabric) Wire() Wire { return f.wire }
 
 // Close closes all worker connections.
 func (f *TCPFabric) Close() error {
@@ -342,8 +266,7 @@ func (f *TCPFabric) EnsureArray(w cluster.NodeID, meta grcuda.ArrayMeta) error {
 
 // MoveArray implements core.Fabric: controller->worker ships srcBuf,
 // worker->controller fetches into dstBuf, worker->worker triggers a direct
-// P2P push. On the framed wire all three travel the bulk channel in
-// chunks; concurrent moves of different arrays interleave.
+// P2P push. All three travel the bulk channel in chunks; concurrent moves of different arrays interleave.
 func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 	_ sim.VirtualTime, srcBuf, dstBuf *kernels.Buffer) (sim.VirtualTime, error) {
 	if src == dst {
@@ -354,12 +277,6 @@ func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 		l, err := f.worker(dst)
 		if err != nil {
 			return 0, err
-		}
-		if l.gob != nil {
-			if _, err := l.gob.call(&Request{Kind: MsgReceiveArray, ArrayID: id, Data: srcBuf}); err != nil {
-				return 0, err
-			}
-			break
 		}
 		meta := grcuda.ArrayMeta{ID: id}
 		if srcBuf != nil {
@@ -374,22 +291,6 @@ func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 		if err != nil {
 			return 0, err
 		}
-		if l.gob != nil {
-			resp, err := l.gob.call(&Request{Kind: MsgFetchArray, ArrayID: id})
-			if err != nil {
-				return 0, err
-			}
-			if resp.Data != nil && dstBuf != nil {
-				n := dstBuf.Len()
-				if resp.Data.Len() < n {
-					n = resp.Data.Len()
-				}
-				for i := 0; i < n; i++ {
-					dstBuf.Set(i, resp.Data.At(i))
-				}
-			}
-			break
-		}
 		if err := l.bulk.fetchArray(id, dstBuf); err != nil {
 			return 0, err
 		}
@@ -397,12 +298,6 @@ func (f *TCPFabric) MoveArray(id dag.ArrayID, src, dst cluster.NodeID,
 		l, err := f.worker(src)
 		if err != nil {
 			return 0, err
-		}
-		if l.gob != nil {
-			if _, err := l.gob.call(&Request{Kind: MsgPushTo, ArrayID: id, PeerAddr: f.addrs[dst-1]}); err != nil {
-				return 0, err
-			}
-			break
 		}
 		if err := l.bulk.pushTo(id, f.addrs[dst-1]); err != nil {
 			return 0, err
@@ -459,7 +354,7 @@ func (f *TCPFabric) Healthy(w cluster.NodeID) bool {
 	if err != nil {
 		return false
 	}
-	if l.bulk != nil && l.bulk.broken() != nil {
+	if l.bulk.broken() != nil {
 		return false
 	}
 	_, err = l.call(&Request{Kind: MsgPing})

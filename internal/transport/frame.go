@@ -2,9 +2,8 @@ package transport
 
 // frame.go is the framed protocol's transport layer: length-prefixed
 // frames over TCP, preceded by a 6-byte connection hello that names the
-// channel (control or bulk). The worker sniffs the hello's magic to tell
-// framed clients from legacy gob clients, so one listener serves both
-// wires during the migration release.
+// channel (control, bulk or session). A listener closes any connection
+// whose hello lacks the magic.
 //
 // Frame layout (little-endian):
 //
@@ -32,9 +31,7 @@ import (
 	"grout/internal/core"
 )
 
-// helloMagic opens every framed connection. The first byte (0x47, "G")
-// can never open a legitimate gob stream's type definition, so sniffing
-// four bytes is unambiguous in practice.
+// helloMagic opens every framed connection.
 const helloMagic = "GRT\x01" // magic + wire version 1
 
 const (
@@ -77,8 +74,7 @@ const DefaultChunkBytes = 256 << 10
 // while staying far above any legitimate latency. All are configurable
 // (DialOptions / ServerOptions); negative disables.
 const (
-	// DefaultDialTimeout bounds connection establishment (both wires; the
-	// gob path's old hard-coded 5 s now comes from here too).
+	// DefaultDialTimeout bounds connection establishment.
 	DefaultDialTimeout = 5 * time.Second
 	// DefaultCallTimeout bounds one control round trip (ping, launch,
 	// build, ensure, free).
@@ -180,18 +176,14 @@ type framedConn struct {
 }
 
 // newFramedConn wraps an established connection whose hello has already
-// been exchanged. r reads from the connection (possibly through the
-// worker's sniffing bufio.Reader).
-func newFramedConn(raw net.Conn, r *bufio.Reader) *framedConn {
-	if r == nil {
-		r = bufio.NewReaderSize(raw, 64<<10)
-	}
-	return &framedConn{raw: raw, r: r, w: raw}
+// been exchanged.
+func newFramedConn(raw net.Conn) *framedConn {
+	return &framedConn{raw: raw, r: bufio.NewReaderSize(raw, 64<<10), w: raw}
 }
 
 // dialFramed opens a framed channel of the given kind to addr. A positive
 // timeout bounds both the TCP connect and the hello write; zero dials
-// without a deadline (tests and legacy callers).
+// without a deadline.
 func dialFramed(addr string, channel byte, timeout time.Duration) (*framedConn, error) {
 	var raw net.Conn
 	var err error
@@ -216,7 +208,7 @@ func dialFramed(addr string, channel byte, timeout time.Duration) (*framedConn, 
 	if timeout > 0 {
 		_ = raw.SetWriteDeadline(time.Time{})
 	}
-	return newFramedConn(raw, nil), nil
+	return newFramedConn(raw), nil
 }
 
 // armRead sets the connection's read deadline d from now, or clears it
@@ -262,9 +254,6 @@ func (c *framedConn) brokenErr() error {
 	defer c.cmu.Unlock()
 	return c.broken
 }
-
-// Close implements io.Closer (the worker's connection tracking).
-func (c *framedConn) Close() error { return c.close() }
 
 func (c *framedConn) close() error {
 	c.cmu.Lock()

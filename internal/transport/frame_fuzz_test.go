@@ -5,32 +5,23 @@ package transport
 // corrupt or truncated frames must be rejected at the frame layer.
 
 import (
-	"io"
 	"math"
 	"net"
 	"testing"
 
 	"grout/internal/core"
 	"grout/internal/grcuda"
-	"grout/internal/kernels"
 	"grout/internal/memmodel"
 )
 
 // sampleRequests covers every field of the Request layout.
 func sampleRequests() []*Request {
-	buf := kernels.NewBuffer(memmodel.Float64, 5)
-	for i := 0; i < 5; i++ {
-		buf.Set(i, float64(i)*1.5-2)
-	}
-	i32 := kernels.NewBuffer(memmodel.Int32, 3)
-	i32.Set(0, -7)
-	i32.Set(2, 1<<30)
 	return []*Request{
 		{},
 		{Kind: MsgPing},
 		{Kind: MsgEnsureArray, Meta: grcuda.ArrayMeta{ID: 42, Kind: memmodel.Int64, Len: 1 << 20}},
-		{Kind: MsgReceiveArray, ArrayID: 7, Data: buf},
-		{Kind: MsgReceiveArray, ArrayID: 8, Data: i32},
+		{Kind: MsgReceiveArray, ArrayID: 7, Meta: grcuda.ArrayMeta{ID: 7, Kind: memmodel.Float64, Len: 5}},
+		{Kind: MsgFetchArray, ArrayID: 8},
 		{Kind: MsgBuildKernel, Src: "extern \"C\" __global__ void k() {}", Signature: "pointer float"},
 		{Kind: MsgPushTo, ArrayID: 3, PeerAddr: "127.0.0.1:9999"},
 		{Kind: MsgLaunch, Inv: core.Invocation{Kernel: "axpy", Grid: 12, Block: 256,
@@ -56,14 +47,11 @@ func TestWireRequestRoundTrip(t *testing.T) {
 }
 
 func TestWireResponseRoundTrip(t *testing.T) {
-	buf := kernels.NewBuffer(memmodel.Float32, 4)
-	buf.Fill(3.5)
 	for i, resp := range []*Response{
 		{},
 		{Err: "boom", Code: CodeGeneric},
 		{Err: "no such array", Code: CodeArrayNotFound},
 		{Kernels: 12, Arrays: 3, Elapsed: 1 << 40},
-		{Data: buf},
 	} {
 		p := appendResponse(nil, resp)
 		got, err := parseResponse(p)
@@ -78,8 +66,7 @@ func TestWireResponseRoundTrip(t *testing.T) {
 
 func responseEq(a, b *Response) bool {
 	return a.Err == b.Err && a.Code == b.Code &&
-		a.Kernels == b.Kernels && a.Arrays == b.Arrays && a.Elapsed == b.Elapsed &&
-		bufferEq(a.Data, b.Data)
+		a.Kernels == b.Kernels && a.Arrays == b.Arrays && a.Elapsed == b.Elapsed
 }
 
 // Truncations of a valid payload must all be rejected, never panic.
@@ -124,7 +111,7 @@ func FuzzWireRequest(f *testing.F) {
 
 func FuzzWireResponse(f *testing.F) {
 	f.Add(appendResponse(nil, &Response{Err: "x", Code: CodeOOM, Kernels: 1}))
-	f.Add(appendResponse(nil, &Response{Data: kernels.NewBuffer(memmodel.Int64, 2)}))
+	f.Add(appendResponse(nil, &Response{Kernels: 12, Arrays: 3, Elapsed: 1 << 40}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := parseResponse(data)
@@ -145,7 +132,7 @@ func FuzzWireResponse(f *testing.F) {
 // pipeConns builds a connected framed pair over an in-memory pipe.
 func pipeConns() (*framedConn, *framedConn) {
 	a, b := net.Pipe()
-	return newFramedConn(a, nil), newFramedConn(b, nil)
+	return newFramedConn(a), newFramedConn(b)
 }
 
 func TestFramedRoundTripOverPipe(t *testing.T) {
@@ -182,7 +169,7 @@ func TestFramedRoundTripOverPipe(t *testing.T) {
 func TestFrameRejectsCorruptHeaders(t *testing.T) {
 	t.Run("oversize", func(t *testing.T) {
 		a, b := net.Pipe()
-		fc := newFramedConn(b, nil)
+		fc := newFramedConn(b)
 		defer fc.close()
 		go func() {
 			var hdr [frameHeaderLen]byte
@@ -196,7 +183,7 @@ func TestFrameRejectsCorruptHeaders(t *testing.T) {
 	})
 	t.Run("unknown-type", func(t *testing.T) {
 		a, b := net.Pipe()
-		fc := newFramedConn(b, nil)
+		fc := newFramedConn(b)
 		defer fc.close()
 		go func() {
 			var hdr [frameHeaderLen]byte
@@ -209,7 +196,7 @@ func TestFrameRejectsCorruptHeaders(t *testing.T) {
 	})
 	t.Run("truncated", func(t *testing.T) {
 		a, b := net.Pipe()
-		fc := newFramedConn(b, nil)
+		fc := newFramedConn(b)
 		defer fc.close()
 		go func() {
 			_, _ = a.Write([]byte{1, 2, 3})
@@ -236,36 +223,52 @@ func TestNormalizeChunk(t *testing.T) {
 	}
 }
 
-// A garbage hello that happens to carry the magic but an unknown channel
-// byte must be dropped cleanly.
+// A hello the worker does not recognize — garbage without the magic, or
+// the magic with an unknown channel byte — must be dropped cleanly, and
+// the worker must go on serving real clients.
 func TestWorkerRejectsUnknownChannelHello(t *testing.T) {
-	w, err := NewWorkerServer("127.0.0.1:0", testSpec(), nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		hello []byte
+	}{
+		{"unknown-channel", append([]byte(helloMagic), 0x42, 0)},
+		// Junk where the magic belongs, then a valid channel byte: only
+		// the magic check can reject it.
+		{"no-magic", append([]byte("JUNK"), helloControl, 0, '\n', 0xff)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := NewWorkerServer("127.0.0.1:0", testSpec(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			raw, err := net.Dial("tcp", w.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := raw.Write(tc.hello); err != nil {
+				t.Fatal(err)
+			}
+			// The server must close the connection.
+			buf := make([]byte, 1)
+			_ = raw.SetReadDeadline(deadlineSoon())
+			_, err = raw.Read(buf)
+			if err == nil {
+				t.Fatalf("server sent data after a bad hello")
+			}
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("server kept the connection open after a bad hello")
+			}
+			_ = raw.Close()
+			// And still serve real clients.
+			fab, err := Dial([]string{w.Addr()})
+			if err != nil {
+				t.Fatalf("worker wedged after bad hello: %v", err)
+			}
+			defer fab.Close()
+			if _, err := fab.Stats(1); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	defer w.Close()
-	raw, err := net.Dial("tcp", w.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello := []byte(helloMagic)
-	hello = append(hello, 0x42, 0) // unknown channel
-	if _, err := raw.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	// The server must close the connection.
-	buf := make([]byte, 1)
-	_ = raw.SetReadDeadline(deadlineSoon())
-	if _, err := raw.Read(buf); err == io.EOF {
-		// closed, as expected
-	} else if err == nil {
-		t.Fatalf("server sent data on unknown channel")
-	}
-	_ = raw.Close()
-	// And still serve real clients.
-	fab, err := Dial([]string{w.Addr()})
-	if err != nil {
-		t.Fatalf("worker wedged after bad hello: %v", err)
-	}
-	defer fab.Close()
 }

@@ -6,17 +6,12 @@
 // the worker, and peer-to-peer transfers open direct worker-to-worker
 // connections, as in the paper's architecture (Figure 3).
 //
-// Two wire protocols are supported (DESIGN.md §5.2):
-//
-//   - WireFramed (default): a length-prefixed binary protocol with
-//     explicit little-endian encoding and a per-worker channel split — a
-//     low-latency control channel for pings/launches/builds and a bulk
-//     channel that streams array payloads in fixed-size chunks, multiple
-//     transfers interleaved by request ID. A multi-GiB transfer no longer
-//     head-of-line-blocks health probes or kernel launches.
-//   - WireGob: the original reflection-driven gob codec over a single
-//     mutex-serialized connection, kept for one release behind
-//     `-wire gob`. Workers sniff the connection hello and serve both.
+// The wire (DESIGN.md §5.2) is a length-prefixed binary protocol with
+// explicit little-endian encoding and a per-worker channel split: a
+// low-latency control channel for pings/launches/builds and a bulk
+// channel that streams array payloads in fixed-size chunks, multiple
+// transfers interleaved by request ID. A multi-GiB transfer never
+// head-of-line-blocks health probes or kernel launches.
 //
 // In this mode time is wall-clock: the sim.VirtualTime values returned by
 // fabric operations are nanoseconds since the fabric connected. The
@@ -26,11 +21,8 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"time"
 
@@ -86,7 +78,6 @@ type Request struct {
 	Kind      MsgKind
 	Meta      grcuda.ArrayMeta
 	ArrayID   dag.ArrayID
-	Data      *kernels.Buffer
 	Inv       core.Invocation
 	Src       string // kernel source for MsgBuildKernel
 	Signature string
@@ -173,10 +164,9 @@ func (c ErrCode) sentinel() error {
 type Response struct {
 	Err     string
 	Code    ErrCode // sentinel classification of Err
-	Data    *kernels.Buffer
-	Kernels int   // MsgStats: kernels executed
-	Arrays  int   // MsgStats: arrays resident
-	Elapsed int64 // MsgStats: worker-simulated busy nanoseconds
+	Kernels int     // MsgStats: kernels executed
+	Arrays  int     // MsgStats: arrays resident
+	Elapsed int64   // MsgStats: worker-simulated busy nanoseconds
 }
 
 // setErr records err (with its wire code) on the response.
@@ -198,84 +188,6 @@ func (r *Response) ok() error {
 		return fmt.Errorf("transport: remote error: %s (%w)", r.Err, s)
 	}
 	return fmt.Errorf("transport: remote error: %s", r.Err)
-}
-
-// --- legacy gob wire -------------------------------------------------------
-
-// conn wraps a TCP connection with gob codecs: the legacy single-channel
-// wire, kept behind WireGob for one release. mu serializes request/
-// response round trips so the pipelined controller's per-worker dispatch
-// goroutines can share connections (a move between two workers uses the
-// source worker's conn, which that worker's own dispatcher may be using).
-type conn struct {
-	mu  sync.Mutex
-	raw net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
-	// timeout, when > 0, bounds one call's full round trip via a
-	// connection deadline, so the legacy wire gets the same hung-worker
-	// protection as the framed one.
-	timeout time.Duration
-}
-
-func newConn(raw net.Conn) *conn {
-	return &conn{raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(raw)}
-}
-
-// newConnReader builds a gob conn reading from r (the worker's sniffing
-// buffered reader) and writing to raw.
-func newConnReader(r io.Reader, raw net.Conn) *conn {
-	return &conn{raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(r)}
-}
-
-func (c *conn) send(req *Request) error { return c.enc.Encode(req) }
-
-func (c *conn) recv() (*Request, error) {
-	var req Request
-	if err := c.dec.Decode(&req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-func (c *conn) reply(resp *Response) error { return c.enc.Encode(resp) }
-
-func (c *conn) await() (*Response, error) {
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("transport: connection closed by peer")
-		}
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (c *conn) close() error { return c.raw.Close() }
-
-// Close implements io.Closer (the worker's connection tracking).
-func (c *conn) Close() error { return c.close() }
-
-// call performs one request/response round trip. Round trips are atomic
-// with respect to each other; concurrent callers queue on the connection.
-func (c *conn) call(req *Request) (*Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.timeout > 0 {
-		_ = c.raw.SetDeadline(time.Now().Add(c.timeout))
-		defer func() { _ = c.raw.SetDeadline(time.Time{}) }()
-	}
-	if err := c.send(req); err != nil {
-		return nil, fmt.Errorf("transport: send %v: %w", req.Kind, wrapNetErr(err))
-	}
-	resp, err := c.await()
-	if err != nil {
-		return nil, fmt.Errorf("transport: await %v: %w", req.Kind, wrapNetErr(err))
-	}
-	if err := resp.ok(); err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // --- framed control channel ------------------------------------------------

@@ -355,7 +355,7 @@ func AcceptSession(raw net.Conn, hsTimeout time.Duration) (*SessionConn, error) 
 	if hsTimeout > 0 {
 		_ = raw.SetReadDeadline(time.Time{})
 	}
-	return &SessionConn{fc: newFramedConn(raw, nil)}, nil
+	return &SessionConn{fc: newFramedConn(raw)}, nil
 }
 
 // Close tears the channel down; safe to call twice.

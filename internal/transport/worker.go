@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -18,12 +17,9 @@ import (
 
 // WorkerServer hosts a GrCUDA runtime behind a TCP listener: the Worker
 // half of the paper's Figure 3. It executes kernels numerically and keeps
-// its embedded UVM simulator's accounting for statistics.
-//
-// One listener serves both wires: framed connections open with the
-// protocol hello (control or bulk channel), legacy gob connections don't —
-// the server sniffs the first bytes and dispatches accordingly, so mixed
-// fleets keep working during the gob deprecation release.
+// its embedded UVM simulator's accounting for statistics. Every
+// connection opens with the protocol hello naming its channel (control or
+// bulk); anything else is closed.
 type WorkerServer struct {
 	mu        sync.Mutex
 	rt        *grcuda.Runtime
@@ -31,7 +27,7 @@ type WorkerServer struct {
 	log       *log.Logger
 	done      chan struct{}
 	closed    bool
-	active    map[io.Closer]struct{}
+	active    map[*framedConn]struct{}
 	pushChunk int
 	// P2P push deadlines (resolved from ServerOptions).
 	dialTimeout  time.Duration
@@ -86,7 +82,7 @@ func NewWorkerServerOpts(addr string, spec gpusim.NodeSpec, logger *log.Logger, 
 		listener:     ln,
 		log:          logger,
 		done:         make(chan struct{}),
-		active:       make(map[io.Closer]struct{}),
+		active:       make(map[*framedConn]struct{}),
 		pushChunk:    normalizeChunk(opts.ChunkBytes),
 		dialTimeout:  pickTimeout(opts.DialTimeout, DefaultDialTimeout),
 		chunkTimeout: pickTimeout(opts.ChunkTimeout, DefaultChunkTimeout),
@@ -114,20 +110,20 @@ func (w *WorkerServer) Close() error {
 	}
 	w.closed = true
 	close(w.done)
-	conns := make([]io.Closer, 0, len(w.active))
+	conns := make([]*framedConn, 0, len(w.active))
 	for c := range w.active {
 		conns = append(conns, c)
 	}
 	w.mu.Unlock()
 	for _, c := range conns {
-		_ = c.Close()
+		_ = c.close()
 	}
 	return w.listener.Close()
 }
 
 // track registers a live connection for teardown on Close; it reports
 // false when the server is already closed.
-func (w *WorkerServer) track(c io.Closer) bool {
+func (w *WorkerServer) track(c *framedConn) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -137,7 +133,7 @@ func (w *WorkerServer) track(c io.Closer) bool {
 	return true
 }
 
-func (w *WorkerServer) untrack(c io.Closer) {
+func (w *WorkerServer) untrack(c *framedConn) {
 	w.mu.Lock()
 	delete(w.active, c)
 	w.mu.Unlock()
@@ -155,30 +151,19 @@ func (w *WorkerServer) acceptLoop() {
 				return
 			}
 		}
-		go w.sniffAndServe(raw)
+		go w.serveConn(raw)
 	}
 }
 
-// sniffAndServe decides the wire by peeking the connection's first bytes:
-// the framed hello magic selects the framed channels, anything else falls
-// back to the legacy gob loop.
-func (w *WorkerServer) sniffAndServe(raw net.Conn) {
-	br := bufio.NewReaderSize(raw, 64<<10)
-	magic, err := br.Peek(len(helloMagic))
-	if err != nil {
-		_ = raw.Close()
-		return
-	}
-	if string(magic) != helloMagic {
-		w.serveGob(raw, br)
-		return
-	}
+// serveConn reads the connection's hello and serves the channel it names;
+// a connection without the hello magic is closed.
+func (w *WorkerServer) serveConn(raw net.Conn) {
 	var hello [helloLen]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
+	if _, err := io.ReadFull(raw, hello[:]); err != nil || string(hello[:4]) != helloMagic {
 		_ = raw.Close()
 		return
 	}
-	fc := newFramedConn(raw, br)
+	fc := newFramedConn(raw)
 	switch hello[4] {
 	case helloControl:
 		w.serveControl(fc)
@@ -190,41 +175,11 @@ func (w *WorkerServer) sniffAndServe(raw net.Conn) {
 	}
 }
 
-// --- legacy gob serving ----------------------------------------------------
-
-// serveGob handles one legacy gob connection until it closes.
-func (w *WorkerServer) serveGob(raw net.Conn, br *bufio.Reader) {
-	c := newConnReader(br, raw)
-	if !w.track(c) {
-		_ = c.close()
-		return
-	}
-	defer func() {
-		w.untrack(c)
-		_ = c.close()
-	}()
-	for {
-		req, err := c.recv()
-		if err != nil {
-			return // connection closed
-		}
-		resp := w.handle(req)
-		if err := c.reply(resp); err != nil {
-			w.log.Printf("worker reply: %v", err)
-			return
-		}
-		if req.Kind == MsgShutdown {
-			_ = w.Close()
-			return
-		}
-	}
-}
-
 // --- framed control serving ------------------------------------------------
 
 // serveControl handles one framed control channel: strict request frame →
-// response frame, in order. Bulk kinds are rejected here — array payloads
-// belong on the bulk channel.
+// response frame, in order. Bulk kinds are rejected (see apply) — array
+// payloads belong on the bulk channel.
 func (w *WorkerServer) serveControl(fc *framedConn) {
 	if !w.track(fc) {
 		_ = fc.close()
@@ -257,20 +212,18 @@ func (w *WorkerServer) serveControl(fc *framedConn) {
 			w.log.Printf("worker control: %v", perr)
 			return
 		}
-		var resp *Response
-		switch req.Kind {
-		case MsgReceiveArray, MsgFetchArray, MsgPushTo:
-			resp = &Response{}
-			resp.setErr(fmt.Errorf("bulk operation %v on control channel", req.Kind))
-		default:
-			resp = w.handle(&req)
+		resp := w.handle(&req)
+		if req.Kind == MsgShutdown {
+			// Stop before the ack, so no dial that follows it can reach
+			// this worker; only this channel stays open for the reply.
+			w.untrack(fc)
+			_ = w.Close()
 		}
 		if err := fc.sendResponse(h.reqID, resp); err != nil {
 			w.log.Printf("worker reply: %v", err)
 			return
 		}
 		if req.Kind == MsgShutdown {
-			_ = w.Close()
 			return
 		}
 	}
@@ -498,7 +451,7 @@ func (w *WorkerServer) serveFetch(fc *framedConn, reqID uint64, req *Request) {
 }
 
 // servePush ships an array to a peer worker over a fresh framed bulk
-// connection (the peer sniffs the hello like any client). Pushes to
+// connection (the peer reads the hello like any client's). Pushes to
 // different peers run concurrently.
 func (w *WorkerServer) servePush(fc *framedConn, reqID uint64, req *Request) {
 	resp := &Response{}
@@ -506,17 +459,9 @@ func (w *WorkerServer) servePush(fc *framedConn, reqID uint64, req *Request) {
 	_ = fc.sendResponse(reqID, resp)
 }
 
-// handle executes one request under the runtime lock. P2P pushes are the
-// exception: the blocking round trip to the peer happens outside the lock
-// (a snapshot is taken under it), otherwise a cycle of concurrent pushes
-// between workers would deadlock — each one holding its runtime lock while
-// the peer's receive handler waits for that same lock.
+// handle executes one control request under the runtime lock.
 func (w *WorkerServer) handle(req *Request) *Response {
 	resp := &Response{}
-	if req.Kind == MsgPushTo {
-		resp.setErr(w.pushTo(req))
-		return resp
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	resp.setErr(w.apply(req, resp))
@@ -524,7 +469,10 @@ func (w *WorkerServer) handle(req *Request) *Response {
 }
 
 // pushTo ships an array to a peer worker: flush and snapshot under the
-// runtime lock, then perform the network round trip without it.
+// runtime lock, then perform the network round trip without it —
+// otherwise a cycle of concurrent pushes between workers would deadlock,
+// each one holding its runtime lock while the peer's receive handler
+// waits for that same lock.
 func (w *WorkerServer) pushTo(req *Request) error {
 	w.mu.Lock()
 	arr := w.rt.Array(req.ArrayID)
@@ -565,37 +513,6 @@ func (w *WorkerServer) apply(req *Request, resp *Response) error {
 		}
 		return err
 
-	case MsgReceiveArray:
-		// Legacy gob path: the payload rides inline in req.Data.
-		arr := w.rt.Array(req.ArrayID)
-		if arr == nil {
-			return fmt.Errorf("receive of unknown array %d: %w", req.ArrayID, core.ErrArrayNotFound)
-		}
-		if err := w.rt.Node().Invalidate(arr.Alloc); err != nil {
-			return err
-		}
-		if req.Data != nil && arr.Buf != nil {
-			n := arr.Buf.Len()
-			if req.Data.Len() < n {
-				n = req.Data.Len()
-			}
-			for i := 0; i < n; i++ {
-				arr.Buf.Set(i, req.Data.At(i))
-			}
-		}
-		return nil
-
-	case MsgFetchArray:
-		arr := w.rt.Array(req.ArrayID)
-		if arr == nil {
-			return fmt.Errorf("fetch of unknown array %d: %w", req.ArrayID, core.ErrArrayNotFound)
-		}
-		if _, err := w.rt.Node().FlushForSend(arr.Alloc, w.rt.Elapsed()); err != nil {
-			return err
-		}
-		resp.Data = arr.Buf
-		return nil
-
 	case MsgLaunch:
 		vals := make([]grcuda.Value, len(req.Inv.Args))
 		for i, a := range req.Inv.Args {
@@ -629,9 +546,8 @@ func (w *WorkerServer) apply(req *Request, resp *Response) error {
 		}
 		return w.rt.FreeArray(req.ArrayID)
 
-	case MsgPushTo:
-		// Handled without the runtime lock in pushTo (see handle).
-		return errors.New("push-to must not reach apply")
+	case MsgReceiveArray, MsgFetchArray, MsgPushTo:
+		return fmt.Errorf("bulk operation %v on control channel", req.Kind)
 
 	case MsgStats:
 		resp.Kernels = len(w.rt.Records())

@@ -102,13 +102,12 @@ print(f'wrote {out}')
 EOF
 
 # --- transport data-plane benchmarks (DESIGN.md §5.2) ----------------------
-# Runs every wire (gob and framed) over the size ladder and records MB/s,
-# B/op and allocs/op per point, plus framed-vs-gob ratios. The largest
-# size (256MiB) is skipped here to keep the script fast; run it manually
-# for the head-of-line-blocking sweep.
+# Runs the size ladder and records MB/s, B/op and allocs/op per point.
+# The largest size (256MiB) is skipped here to keep the script fast; run
+# it manually for the head-of-line-blocking sweep.
 
 echo "== transport benchmarks (-benchtime=$BENCHTIME)"
-go test -run '^$' -bench 'BenchmarkTransportThroughput/(gob|framed)/(1KiB|64KiB|1MiB|16MiB)' \
+go test -run '^$' -bench 'BenchmarkTransportThroughput/(1KiB|64KiB|1MiB|16MiB)$' \
     -benchtime="$BENCHTIME" -benchmem ./internal/bench/ | tee "$TRAW"
 
 python3 - "$TRAW" BENCH_transport.json <<'EOF'
@@ -117,39 +116,24 @@ import json, re, sys
 raw, out = sys.argv[1], sys.argv[2]
 current = {}
 pat = re.compile(
-    r'^BenchmarkTransportThroughput/(\w+)/(\S+?)(?:-\d+)?\s+\d+\s+'
+    r'^BenchmarkTransportThroughput/(\S+?)(?:-\d+)?\s+\d+\s+'
     r'([\d.]+) ns/op\s+([\d.]+) MB/s\s+([\d.]+) B/op\s+(\d+) allocs/op')
 for line in open(raw):
     m = pat.match(line)
     if not m:
         continue
-    wire, size = m.group(1), m.group(2)
-    current.setdefault(wire, {})[size] = {
-        'ns_per_op': float(m.group(3)),
-        'mb_per_s': float(m.group(4)),
-        'bytes_per_op': float(m.group(5)),
-        'allocs_per_op': int(m.group(6)),
-    }
-
-ratios = {}
-for size, fr in current.get('framed', {}).items():
-    gb = current.get('gob', {}).get(size)
-    if not gb or not gb['mb_per_s']:
-        continue
-    ratios[size] = {
-        'throughput_speedup': round(fr['mb_per_s'] / gb['mb_per_s'], 2),
-        'alloc_reduction': round(
-            gb['allocs_per_op'] / max(fr['allocs_per_op'], 1), 2),
-        'bytes_reduction': round(
-            gb['bytes_per_op'] / max(fr['bytes_per_op'], 1), 1),
+    current[m.group(1)] = {
+        'ns_per_op': float(m.group(2)),
+        'mb_per_s': float(m.group(3)),
+        'bytes_per_op': float(m.group(4)),
+        'allocs_per_op': int(m.group(5)),
     }
 
 doc = {
     'description': 'Data-plane wire benchmarks: one MoveArray (controller '
                    'host -> worker) per op over a loopback TCP worker, per '
-                   'wire protocol and array size.',
+                   'array size.',
     'current': current,
-    'framed_vs_gob': ratios,
 }
 json.dump(doc, open(out, 'w'), indent=2)
 print(f'wrote {out}')
@@ -255,7 +239,7 @@ spat = re.compile(
     r'^BenchmarkGatewayShards/(\d+)shards(?:-\d+)?\s+\d+\s+([\d.]+) ns/op'
     r'\s+([\d.]+) ce_per_s\s+([\d.]+) p99adm_us')
 dpat = re.compile(
-    r'^BenchmarkGatewayDialChurn/(\d+)loops(?:-\d+)?\s+\d+\s+([\d.]+) ns/op'
+    r'^BenchmarkGatewayDialChurn(?:-\d+)?\s+\d+\s+([\d.]+) ns/op'
     r'\s+([\d.]+) dial_p99_us')
 churn = {}
 for line in open(raw):
@@ -291,10 +275,9 @@ for line in open(raw):
         continue
     m = dpat.match(line)
     if m:
-        churn[m.group(1) + 'loops'] = {
-            'accept_loops': int(m.group(1)),
-            'ns_per_burst': float(m.group(2)),
-            'worst_dial_us': float(m.group(3)),
+        churn = {
+            'ns_per_burst': float(m.group(1)),
+            'worst_dial_us': float(m.group(2)),
         }
 
 doc = {
@@ -333,21 +316,9 @@ for name, row in sorted(shards.items(), key=lambda kv: kv[1]['shards']):
     if sone and row['shards'] > 1:
         doc.setdefault('shard_scaling_vs_1shard', {})[name] = round(
             row['ce_per_s_aggregate'] / sone, 2)
-# Dial latency under churn: a 32-way concurrent dial burst per op, one
-# accept goroutine vs Options.AcceptLoops=4 pulling handshakes off the
-# shared listener.
+# Dial latency under churn: a 32-way concurrent dial burst per op.
 if churn:
     doc['dial_churn'] = churn
-    one_l = churn.get('1loops', {}).get('worst_dial_us')
-    four_l = churn.get('4loops', {}).get('worst_dial_us')
-    if one_l and four_l:
-        doc['dial_churn']['worst_dial_speedup_4loops'] = round(one_l / four_l, 2)
-    if nproc == 1:
-        doc['dial_churn']['note'] = (
-            'GOMAXPROCS=1 on this machine: the accept loops time-slice '
-            'one core, so no concurrent-handshake speedup is observable '
-            'here; the row tracks that the sharded accept path keeps '
-            'completing.')
 if sone and nproc == 1:
     doc['shard_scaling_note'] = (
         'GOMAXPROCS=1 on this machine: all shard drain goroutines '

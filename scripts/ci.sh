@@ -4,6 +4,9 @@
 #   1. go vet ./...
 #   2. go build ./...
 #   3. go test ./...                                   (full suite)
+#   3b. go vet + go test in perfbench/, the benchmark's own module: the
+#      root build never compiles it, yet it imports transport and server
+#      options, so an API change that breaks the benchmark fails here
 #   4. go test -race ./internal/core/... ./internal/dag/...
 #                    ./internal/transport/... ./internal/minicuda/...
 #                    ./internal/kernels/... ./internal/server/...
@@ -32,7 +35,7 @@
 #   6. the controller/DAG/transport/kernel/oversubscription
 #      micro-benchmarks with -benchtime=1x as a smoke gate, plus a
 #      UVMBench workload-sweep smoke row (spmv + kmeans at 0.5x/2x per
-#      fleet size) and the gateway dial-churn pair (they must still
+#      fleet size) and the gateway dial-churn row (they must still
 #      compile and complete, not regress — use scripts/bench.sh for
 #      numbers)
 #
@@ -48,6 +51,9 @@ go build ./...
 
 echo "== go test"
 go test ./...
+
+echo "== perfbench module (vet + test)"
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 
 echo "== go test -race (core, dag, transport, minicuda, kernels, server, optimizer, gpusim, policy, shard)"
 go test -race ./internal/core/... ./internal/dag/... ./internal/transport/... \
@@ -82,7 +88,7 @@ echo "== micro-benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench 'BenchmarkControllerSubmitThroughput|BenchmarkSchedulingOnly' \
     -benchtime=1x ./internal/bench/
 go test -run '^$' -bench 'BenchmarkDAGAdd' -benchtime=1x ./internal/dag/
-go test -run '^$' -bench 'BenchmarkTransportThroughput/(gob|framed)/1MiB' \
+go test -run '^$' -bench 'BenchmarkTransportThroughput/1MiB$' \
     -benchtime=1x ./internal/bench/
 go test -run '^$' -bench 'BenchmarkKernelExec/compiled|BenchmarkKernelBuild' \
     -benchtime=1x ./internal/bench/
